@@ -1195,7 +1195,12 @@ def _solve_main(argv: Sequence[str]) -> int:
     if not points:
         print("deployment is empty", file=sys.stderr)
         return 2
-    graph = unit_disk_graph(points)
+    try:
+        graph = unit_disk_graph(points)
+    except ValueError as exc:
+        # Duplicate or non-finite positions: a property of the input.
+        print(f"cannot build deployment graph: {exc}", file=sys.stderr)
+        return 2
     if not is_connected(graph):
         kept, graph = largest_component_udg(points)
         print(

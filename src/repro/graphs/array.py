@@ -91,7 +91,21 @@ class ArrayGraph(Generic[N]):
         return cls(index)
 
     @classmethod
+    def from_csr(cls, nodes: tuple, indptr: np.ndarray, indices: np.ndarray) -> "ArrayGraph[N]":
+        """Own ready ``int64`` CSR arrays (no list round trip); the
+        wrapped :class:`IndexedGraph` builds its list form on demand."""
+        view = cls.__new__(cls)
+        view.indexed = IndexedGraph.from_arrays(nodes, indptr, indices)
+        view._indptr = indptr
+        view._indices = indices
+        view._degrees = None
+        return view
+
+    @classmethod
     def from_graph(cls, graph: Graph[N]) -> "ArrayGraph[N]":
+        view = graph._view  # noqa: SLF001 - same-package fast path
+        if view is not None:
+            return view
         return cls(IndexedGraph.from_graph(graph))
 
     # -- flat arrays ----------------------------------------------------------
@@ -138,10 +152,10 @@ class ArrayGraph(Generic[N]):
         return iter(self.indexed)
 
     def degree(self, i: int) -> int:
-        return self.indexed.degree(i)
+        return int(self._indptr[i + 1] - self._indptr[i])
 
     def edge_count(self) -> int:
-        return self.indexed.edge_count()
+        return self._indices.size // 2
 
     def neighbors(self, i: int) -> np.ndarray:
         """Neighbor ids of ``i`` as an ``int64`` array view (source

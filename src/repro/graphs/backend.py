@@ -153,7 +153,14 @@ def build_kernel(
     graph: Graph[N], kernel: str = "auto", auto_bitset: bool = True
 ) -> "IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N]":
     """Build the chosen kernel view of ``graph`` (one pass, shared by
-    every phase of a solver run)."""
+    every phase of a solver run).
+
+    A graph built as CSR (:class:`~repro.graphs.csr.CSRGraph`) hands
+    over the views it owns: its :class:`~repro.graphs.array.ArrayGraph`
+    for ``"array"``, its :class:`IndexedGraph` for ``"indexed"`` and as
+    the base of a ``"bitset"`` view, so no node is re-interned.
+    """
+    view = graph._view  # noqa: SLF001 - same-package fast path
     index = IndexedGraph.from_graph(graph)
     chosen = choose_kernel(len(index), kernel, auto_bitset)
     if chosen == "bitset":
@@ -161,6 +168,8 @@ def build_kernel(
 
         return BitsetGraph.from_indexed(index)
     if chosen == "array":
+        if view is not None:
+            return view
         from .array import ArrayGraph
 
         return ArrayGraph.from_indexed(index)

@@ -154,6 +154,6 @@ def largest_component_udg(
     comps = connected_components(graph)
     if not comps:
         return [], Graph()
-    biggest = max(comps, key=len)
-    kept = [p for p in points if p in set(biggest)]
+    biggest = set(max(comps, key=len))
+    kept = [p for p in points if p in biggest]
     return kept, graph.subgraph(kept)

@@ -31,6 +31,12 @@ class Graph(Generic[N]):
 
     __slots__ = ("_adj",)
 
+    #: The kernel view a graph built as CSR owns while it still
+    #: describes the graph (:class:`~repro.graphs.csr.CSRGraph`); a
+    #: class-level ``None`` for every dict-built graph, so reading it
+    #: costs a plain graph one attribute lookup.
+    _view = None
+
     def __init__(self, edges: Iterable[tuple[N, N]] = (), nodes: Iterable[N] = ()):
         self._adj: dict[N, dict[N, None]] = {}
         for node in nodes:

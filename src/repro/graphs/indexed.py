@@ -20,6 +20,11 @@ preserves iteration and adjacency order, algorithms on the view are
 bit-identical to their dict-based counterparts, just cheaper per step.
 The view is a snapshot — mutating the source :class:`Graph` afterwards
 does not update it.
+
+A view can also be made straight from numpy CSR arrays
+(:meth:`IndexedGraph.from_arrays`, the vectorized UDG builder's output);
+its list form is then built the first time a list-walking method needs
+it, so array-kernel runs never pay for it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class IndexedGraph(Generic[N]):
     can bind them to locals instead of calling methods per step.
     """
 
-    __slots__ = ("_nodes", "_ids", "_indptr", "_indices")
+    __slots__ = ("_nodes", "_ids", "_indptr", "_indices", "_arrays")
 
     def __init__(
         self,
@@ -56,6 +61,39 @@ class IndexedGraph(Generic[N]):
         self._ids = ids
         self._indptr = indptr
         self._indices = indices
+        self._arrays = None
+
+    @classmethod
+    def from_arrays(cls, nodes: tuple, indptr, indices) -> "IndexedGraph[N]":
+        """A view over numpy CSR arrays (``int64`` row pointers and
+        column ids) whose list form is deferred.
+
+        ``indptr`` / ``indices`` stay unset until first read; then
+        :meth:`__getattr__` converts the arrays once.  Plain views never
+        reach that hook, so their reads cost what they always did.
+        """
+        view = cls.__new__(cls)
+        view._nodes = nodes
+        view._ids = {node: i for i, node in enumerate(nodes)}
+        view._arrays = (indptr, indices)
+        return view
+
+    def __getattr__(self, name: str):
+        # Only reached for an unset slot: the list form of a
+        # from_arrays view, built on first use.
+        if name not in ("_indptr", "_indices") or self._arrays is None:
+            raise AttributeError(name)
+        import numpy as np
+
+        indptr, indices = self._arrays
+        self._indptr = indptr.tolist()
+        # Gather through an object array of the id ints, so the 2|E|
+        # entries share n int objects instead of allocating one each.
+        ids = np.empty(len(self._nodes), dtype=object)
+        ids[:] = range(len(self._nodes))
+        self._indices = ids[indices].tolist()
+        self._arrays = None
+        return getattr(self, name)
 
     @classmethod
     def from_graph(cls, graph: Graph[N]) -> "IndexedGraph[N]":
@@ -67,7 +105,13 @@ class IndexedGraph(Generic[N]):
         of hashing the node value per adjacency entry.  A graph whose
         adjacency holds equal-but-distinct objects falls back to the
         equality-based map; the resulting view is identical.
+
+        A graph built as CSR (:class:`~repro.graphs.csr.CSRGraph`)
+        already owns its view, which is returned as is.
         """
+        view = graph._view  # noqa: SLF001 - same-package fast path
+        if view is not None:
+            return view.indexed
         adj = graph._adj  # noqa: SLF001 - same-package fast path
         nodes = tuple(adj)
         ids = {node: i for i, node in enumerate(nodes)}

@@ -191,10 +191,20 @@ def is_connected_dominating_set(graph: Graph[N], candidate: Iterable[N]) -> bool
     Single-node graphs are special: the paper's convention is that a
     single node dominates itself, and ``G[{v}]`` is (trivially)
     connected, so ``{v}`` is a CDS of the one-node graph.
+
+    A graph built as CSR (:class:`~repro.graphs.csr.CSRGraph`) is
+    checked on its kernel view — one vectorized domination pass and a
+    BFS confined to ``candidate`` — with the same verdict as the dict
+    walk below, which stays the reference.
     """
     chosen = set(candidate)
     if not chosen:
         return False
+    view = getattr(graph, "_view", None)
+    if view is not None:
+        from .csr import is_connected_dominating_set as kernel_is_cds
+
+        return kernel_is_cds(view, chosen)
     if not is_dominating_set(graph, chosen):
         return False
     if len(chosen) == 1:

@@ -167,7 +167,16 @@ def connected_components(graph: Graph[N]) -> list[list[N]]:
 
 
 def is_connected(graph: Graph[N]) -> bool:
-    """Whether the graph is connected.  The empty graph is not."""
+    """Whether the graph is connected.  The empty graph is not.
+
+    A graph built as CSR (:class:`~repro.graphs.csr.CSRGraph`) is
+    checked on its kernel view, without building its dict.
+    """
+    view = getattr(graph, "_view", None)
+    if view is not None:
+        from .csr import is_connected as kernel_is_connected
+
+        return kernel_is_connected(view)
     if len(graph) == 0:
         return False
     first = next(iter(graph))

@@ -5,19 +5,27 @@ transmission radii normalized to one: nodes are planar points, and two
 nodes are adjacent iff their Euclidean distance is at most one
 (Section I of the paper).
 
-Two builders are provided: the obvious quadratic one and a
+Three exact builders are provided: the obvious quadratic one, a
 grid-bucketed one that only tests pairs in neighboring buckets —
 expected linear time for bounded-density deployments, which is what
-makes the larger benchmark sweeps feasible.  A quasi-UDG variant
-(edges certain below an inner radius, absent above 1, arbitrary —
-here: pseudorandom — in between) is included for robustness
-experiments, since real radios are not perfect disks.
+makes the larger benchmark sweeps feasible — and a vectorized one for
+the 10⁵–10⁶-node decade, which tests the same bucket pairs in numpy
+and returns the edges as CSR arrays: a
+:class:`~repro.graphs.csr.CSRGraph` that owns them as a ready kernel
+view and builds its dict adjacency only if something asks for it.
+:func:`unit_disk_graph` dispatches to the vectorized builder from
+:data:`GRID_VECTOR_N` nodes.  A quasi-UDG variant (edges certain below
+an inner radius, absent above 1, arbitrary — here: pseudorandom — in
+between) is included for robustness experiments, since real radios are
+not perfect disks.
 
-Both exact builders reject duplicate points (two radios at identical
-coordinates collapse into one UDG node, corrupting size accounting) and,
-when :data:`repro.obs.OBS` is enabled, report ``udg.<builder>.pairs_tested``
-vs ``udg.<builder>.edges_emitted`` — the quantities that make the
-naive-vs-grid trade-off measurable instead of folklore.
+Every builder rejects duplicate points (two radios at identical
+coordinates collapse into one UDG node, corrupting size accounting) and
+non-finite coordinates (a ``nan`` or ``inf`` position has no disk).
+When :data:`repro.obs.OBS` is enabled, the exact builders report
+``udg.<builder>.pairs_tested`` vs ``udg.<builder>.edges_emitted`` — the
+quantities that make the naive-vs-grid trade-off measurable instead of
+folklore.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 from .._optional import optional_module, require_module
 from ..geometry.point import EPS, Point
 from ..obs import OBS, trace
+from .csr import CSRGraph, csr_from_edges
 from .graph import Graph
 
 __all__ = [
@@ -129,7 +138,7 @@ def unit_disk_graph(
 
     Duplicate points are rejected: two radios at the same coordinates
     would be a single node in the UDG model and silently merging them
-    corrupts size accounting.
+    corrupts size accounting.  So are non-finite coordinates.
     """
     if len(points) >= GRID_VECTOR_N:
         return unit_disk_graph_vectorized(points, radius, tol)
@@ -192,12 +201,20 @@ def unit_disk_graph(
 
 
 def _checked_points(points: Sequence[Point]) -> list[Point]:
-    """Materialize and validate a deployment: duplicates are an error.
+    """Materialize and validate a deployment: duplicates and non-finite
+    coordinates are errors.
 
-    Shared by the naive and grid builders so their input contract is
-    identical (see ``docs/usage.md`` §1).
+    Shared by every builder so their input contract is identical (see
+    ``docs/usage.md`` §1).  A ``nan`` or ``inf`` coordinate would
+    otherwise become an isolated node — silently dropped by the
+    largest-component fallback — or, in the vectorized builder, an
+    undefined integer bucket key.
     """
     pts = list(points)
+    isfinite = math.isfinite
+    for p in pts:
+        if not (isfinite(p.x) and isfinite(p.y)):
+            raise ValueError(f"non-finite coordinates in UDG input: {p!r}")
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in UDG input")
     return pts
@@ -220,10 +237,16 @@ def unit_disk_graph_vectorized(
     pair is keyed by ``(emitting bucket's first-appearance rank, scan
     phase, position of each endpoint in its bucket)`` — the scan phase
     being within-cell (0) or the index of the cross-cell direction in
-    :data:`_GRID_DIRECTIONS` (1–4) — then edges are replayed through
-    ``add_edge`` in sorted key order, which is precisely the order the
-    grid builder's nested loops emit.  The hypothesis suite in
-    ``tests/graphs/test_udg_vectorized.py`` pins the equivalence.
+    :data:`_GRID_DIRECTIONS` (1–4) — and sorted by that key, which is
+    precisely the order the grid builder's nested loops emit.  The
+    sorted edges become CSR rows directly (:func:`csr_from_edges` keeps
+    each row in emission order, as ``add_edge`` would), and the result
+    is a :class:`~repro.graphs.csr.CSRGraph` owning them as a ready
+    kernel view; its dict adjacency is built only on first use.  Below
+    :data:`GRID_SMALL_N` nodes, or for a non-positive radius, the
+    result is a plain :class:`Graph`.  The hypothesis suites in
+    ``tests/graphs/test_udg_vectorized.py`` and
+    ``tests/graphs/test_csr.py`` pin the equivalence.
 
     ``accel`` picks the candidate-pair source: ``"numpy"`` expands the
     same neighboring-bucket products the grid builder scans as one
@@ -238,19 +261,20 @@ def unit_disk_graph_vectorized(
     ``accel``.
 
     Raises:
-        ValueError: on duplicate points or an unknown ``accel``.
+        ValueError: on duplicate points, non-finite coordinates or an
+            unknown ``accel``.
         MissingDependencyError: for ``accel="kdtree"`` without scipy.
     """
     if accel not in ("auto", "numpy", "kdtree"):
         raise ValueError(f"unknown accel {accel!r}")
     pts = _checked_points(points)
-    graph: Graph[Point] = Graph(nodes=pts)
     if radius <= 0.0:
-        return graph
+        return Graph(nodes=pts)
     r_sq = (radius + tol) * (radius + tol)
     counting = OBS.enabled
     n = len(pts)
     if n < GRID_SMALL_N:
+        graph: Graph[Point] = Graph(nodes=pts)
         with trace("udg.vector.build"):
             _all_pairs_scan(pts, graph, r_sq)
         if counting:
@@ -361,13 +385,12 @@ def unit_disk_graph_vectorized(
             left, right, pair_id = left[hit], right[hit], pair_id[hit]
             op = cell_a[pair_id] * 5 + phases[pair_id]
 
-        # Replay the surviving edges in the grid builder's emission
+        # Lay the surviving edges out in the grid builder's emission
         # order: by emitting bucket rank and phase, then by each
         # endpoint's position in its bucket (the nested loop indices).
         order = np.lexsort((pos[right], pos[left], op))
-        add_edge = graph.add_edge
-        for a, b in zip(left[order].tolist(), right[order].tolist()):
-            add_edge(pts[a], pts[b])
+        indptr, indices = csr_from_edges(n, left[order], right[order])
+        graph = CSRGraph.from_csr(tuple(pts), indptr, indices)
     if counting:
         cross = phases > 0
         pairs_tested = int((sizes * (sizes - 1) // 2).sum()) + int(

@@ -65,6 +65,24 @@ class TestUnitDiskGraph:
             with pytest.raises(ValueError, match="duplicate"):
                 builder(dupes)
 
+    @pytest.mark.parametrize(
+        "bad", [(float("nan"), 0.2), (1.0, float("inf")), (float("-inf"), 0.0)]
+    )
+    def test_non_finite_rejected_by_every_builder(self, bad):
+        # A nan/inf position would otherwise become an isolated node (or
+        # an undefined bucket key in the vectorized builder).
+        from repro.graphs import unit_disk_graph_vectorized
+
+        pts = uniform_points(40, 5.0, seed=8) + [Point(*bad)]
+        for builder in (
+            unit_disk_graph,
+            unit_disk_graph_naive,
+            unit_disk_graph_vectorized,
+            quasi_unit_disk_graph,
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                builder(pts)
+
     def test_empty(self):
         g = unit_disk_graph([])
         assert len(g) == 0

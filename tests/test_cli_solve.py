@@ -70,6 +70,26 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "largest component" in out
 
+    def test_duplicate_points_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y\n0,0\n0.5,0.5\n0,0\n")
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot build deployment graph" in err
+        assert "duplicate" in err
+
+    @pytest.mark.parametrize("row", ["nan,0.2", "1.0,inf"])
+    def test_non_finite_coordinates_exit_2(self, tmp_path, capsys, row):
+        # Not silently dropped as isolated nodes by the giant-component
+        # fallback: the whole deployment is rejected.
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"x,y\n0,0\n0.5,0.5\n{row}\n0.9,0.2\n")
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot build deployment graph" in captured.err
+        assert "non-finite" in captured.err
+        assert "largest component" not in captured.out
+
     def test_unknown_algorithm_rejected(self, deployment):
         with pytest.raises(SystemExit):
             main(["solve", deployment, "--algorithm", "magic"])

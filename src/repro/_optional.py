@@ -1,24 +1,24 @@
 """Guarded imports for optional (dev-extra) dependencies.
 
-The core package depends on numpy alone; everything else — scipy's
-``cKDTree`` fast path in the vectorized UDG builder, networkx in the
-converters — is an accelerator or a convenience that the code must
-*gate*, not require.  This module is the one place that gating lives,
-so every soft import fails the same way: with an error that names the
-missing distribution and the extra that installs it.
+The core package depends on numpy alone; everything else — networkx
+in the converters, hypothesis and scipy in the test suites — is a
+convenience that the code must *gate*, not require.  This module is
+the one place that gating lives, so every soft import fails the same
+way: with an error that names the missing distribution and the extra
+that installs it.
 
 Usage::
 
     from repro._optional import optional_module
 
-    scipy_spatial = optional_module("scipy.spatial")
-    if scipy_spatial is not None:
-        tree = scipy_spatial.cKDTree(coords)   # fast path
+    nx = optional_module("networkx")
+    if nx is not None:
+        ...                                    # cross-check against networkx
     else:
-        ...                                    # numpy fallback
+        ...                                    # skip the cross-check
 
     # Or, for features that cannot degrade:
-    spatial = require_module("scipy.spatial", feature="the cKDTree fast path")
+    nx = require_module("networkx", feature="the networkx converters")
 """
 
 from __future__ import annotations

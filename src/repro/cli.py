@@ -1202,7 +1202,7 @@ def _solve_main(argv: Sequence[str]) -> int:
         print(f"cannot build deployment graph: {exc}", file=sys.stderr)
         return 2
     if not is_connected(graph):
-        kept, graph = largest_component_udg(points)
+        kept, graph = largest_component_udg(points, graph)
         print(
             f"note: deployment disconnected; using the largest component "
             f"({len(graph)} of {len(points)} nodes)",

@@ -43,6 +43,7 @@ __all__ = [
     "CSRGraph",
     "csr_from_edges",
     "is_connected",
+    "largest_component",
     "is_connected_dominating_set",
 ]
 
@@ -56,15 +57,18 @@ def csr_from_edges(
     ``Graph.add_edge`` gives when the edges are added in sequence to a
     graph whose nodes are ``0..n-1`` (edges must be distinct and free
     of self-loops).  Both directions of every edge are interleaved in
-    edge order, then stably sorted by source row.
+    edge order, then stably sorted by source row: sorting the distinct
+    keys ``row * 2|E| + position`` gives the stable order with numpy's
+    default sort, about three times faster than ``kind="stable"``.
     """
-    src = np.empty(2 * left.size, dtype=np.int64)
+    m = 2 * left.size
+    src = np.empty(m, dtype=np.int64)
     dst = np.empty_like(src)
     src[0::2] = left
     src[1::2] = right
     dst[0::2] = right
     dst[1::2] = left
-    indices = dst[np.argsort(src, kind="stable")]
+    indices = dst[np.argsort(src * m + np.arange(m, dtype=np.int64))]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, indices
@@ -95,6 +99,37 @@ def is_connected(view: ArrayGraph) -> bool:
         return False
     seen = np.zeros(n, dtype=bool)
     return _reach_count(view.indptr, view.indices, 0, seen) == n
+
+
+def largest_component(view: ArrayGraph) -> np.ndarray:
+    """Ids of the first largest connected component, ascending.
+
+    Components are labelled by their smallest id: every edge whose ends
+    carry different labels hooks the larger label onto the smaller, and
+    pointer jumping then flattens the labels, until no edge joins two
+    labels.  Ordered by label, the components come in first-node order,
+    so ``argmax`` over their sizes picks the same component as
+    ``max(connected_components(graph), key=len)``.
+    """
+    n = len(view)
+    label = np.arange(n, dtype=np.int64)
+    rows = np.repeat(label, view.degrees)
+    forward = rows < view.indices
+    rows, cols = rows[forward], view.indices[forward]
+    while True:
+        ends_a, ends_b = label[rows], label[cols]
+        differ = ends_a != ends_b
+        if not differ.any():
+            break
+        ends_a, ends_b = ends_a[differ], ends_b[differ]
+        np.minimum.at(label, np.maximum(ends_a, ends_b), np.minimum(ends_a, ends_b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        rows, cols = rows[differ], cols[differ]
+    return np.flatnonzero(label == np.argmax(np.bincount(label, minlength=n)))
 
 
 def is_connected_dominating_set(view: ArrayGraph, chosen: set) -> bool:

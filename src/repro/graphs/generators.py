@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from ..geometry.point import Point
 from .graph import Graph
-from .traversal import connected_components, is_connected
+from .traversal import is_connected, largest_component
 from .udg import unit_disk_graph
 
 __all__ = [
@@ -143,17 +143,19 @@ def random_connected_udg(
 
 
 def largest_component_udg(
-    points: Sequence[Point],
+    points: Sequence[Point], graph: Graph[Point] | None = None
 ) -> tuple[list[Point], Graph[Point]]:
     """Restrict a deployment to its largest connected UDG component.
 
     The alternative to rejection sampling for sparse deployments: keep
     the giant component, as the empirical UDG literature convention.
+    ``graph``, when given, is ``unit_disk_graph(points)`` already built
+    (the caller checked its connectivity, say), and is not built again.
+    Returns the kept points in input order and the subgraph they induce.
     """
-    graph = unit_disk_graph(points)
-    comps = connected_components(graph)
-    if not comps:
+    if graph is None:
+        graph = unit_disk_graph(points)
+    kept = largest_component(graph)
+    if not kept:
         return [], Graph()
-    biggest = set(max(comps, key=len))
-    kept = [p for p in points if p in biggest]
     return kept, graph.subgraph(kept)

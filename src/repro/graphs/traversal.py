@@ -25,6 +25,7 @@ __all__ = [
     "dfs_tree",
     "indexed_bfs_tree",
     "connected_components",
+    "largest_component",
     "is_connected",
     "shortest_path_lengths",
     "eccentricity",
@@ -164,6 +165,26 @@ def connected_components(graph: Graph[N]) -> list[list[N]]:
         seen.update(comp)
         comps.append(comp)
     return comps
+
+
+def largest_component(graph: Graph[N]) -> list[N]:
+    """The first largest connected component, in graph node order.
+
+    "First" is in first-node order, as ``max(connected_components(graph),
+    key=len)`` picks it.  A graph built as CSR is labelled on its kernel
+    view, without building its dict.
+    """
+    view = getattr(graph, "_view", None)
+    if view is not None:
+        from .csr import largest_component as kernel_largest_component
+
+        get = view.nodes.__getitem__
+        return list(map(get, kernel_largest_component(view).tolist()))
+    comps = connected_components(graph)
+    if not comps:
+        return []
+    biggest = set(max(comps, key=len))
+    return [v for v in graph if v in biggest]
 
 
 def is_connected(graph: Graph[N]) -> bool:

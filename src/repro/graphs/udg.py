@@ -9,8 +9,9 @@ Three exact builders are provided: the obvious quadratic one, a
 grid-bucketed one that only tests pairs in neighboring buckets —
 expected linear time for bounded-density deployments, which is what
 makes the larger benchmark sweeps feasible — and a vectorized one for
-the 10⁵–10⁶-node decade, which tests the same bucket pairs in numpy
-and returns the edges as CSR arrays: a
+the 10⁵–10⁶-node decade, which tests the same bucket pairs, in the
+same order, as one numpy scan expanded a fixed-size chunk of candidate
+pairs at a time, and returns the edges as CSR arrays: a
 :class:`~repro.graphs.csr.CSRGraph` that owns them as a ready kernel
 view and builds its dict adjacency only if something asks for it.
 :func:`unit_disk_graph` dispatches to the vectorized builder from
@@ -21,7 +22,8 @@ not perfect disks.
 
 Every builder rejects duplicate points (two radios at identical
 coordinates collapse into one UDG node, corrupting size accounting) and
-non-finite coordinates (a ``nan`` or ``inf`` position has no disk).
+non-finite coordinates (a ``nan`` or ``inf`` position has no disk), and
+names the offending point in the message.
 When :data:`repro.obs.OBS` is enabled, the exact builders report
 ``udg.<builder>.pairs_tested`` vs ``udg.<builder>.edges_emitted`` — the
 quantities that make the naive-vs-grid trade-off measurable instead of
@@ -35,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .._optional import optional_module, require_module
 from ..geometry.point import EPS, Point
 from ..obs import OBS, trace
 from .csr import CSRGraph, csr_from_edges
@@ -68,15 +69,11 @@ GRID_VECTOR_N = 20000
 #: in the same order.
 _GRID_DIRECTIONS = ((1, -1), (1, 0), (1, 1), (0, 1))
 
-#: Emission-phase lookup for the vectorized builder's KD-tree path:
-#: ``_PHASE_OF[dcx + 1, dcy + 1]`` is the 1-based index of ``(dcx,
-#: dcy)`` in :data:`_GRID_DIRECTIONS`, 0 for the same cell and for
-#: reversed directions (whose pairs are emitted by the other endpoint's
-#: cell).
-_PHASE_OF = np.zeros((3, 3), dtype=np.int64)
-for _d, (_ox, _oy) in enumerate(_GRID_DIRECTIONS, start=1):
-    _PHASE_OF[_ox + 1, _oy + 1] = _d
-del _d, _ox, _oy
+#: Candidate pairs the vectorized builder expands per numpy batch.  Big
+#: enough that the per-batch overhead vanishes at 10⁵ nodes, small enough
+#: that the temporaries (a dozen ``int64``/``float64`` arrays of this
+#: length) stay a few tens of MB however many pairs the scan tests.
+_SCAN_CHUNK = 1 << 18
 
 
 def _all_pairs_scan(pts: list[Point], graph: Graph[Point], r_sq: float) -> None:
@@ -125,7 +122,12 @@ def unit_disk_graph(
     Buckets have side ``radius``, so any edge's endpoints lie in the
     same or neighboring buckets.  Produces a graph identical to
     :func:`unit_disk_graph_naive` (tests assert this); expected time is
-    linear in ``n`` for bounded density.  Below :data:`GRID_SMALL_N`
+    linear in ``n`` for bounded density.  One known gap: the edge test
+    accepts distances up to ``radius + tol``, so a pair whose endpoints
+    sit two buckets apart at a distance in ``(radius, radius + tol]``
+    is an edge the naive builder finds and this one never tests
+    (``tests/graphs/test_udg_vectorized.py`` marks it as an expected
+    failure).  Below :data:`GRID_SMALL_N`
     nodes the builder dispatches to the all-pairs scan — same trace and
     counter names (with truthful all-pairs values), and output there is
     bit-identical to the naive builder's, adjacency order included.
@@ -133,8 +135,7 @@ def unit_disk_graph(
     At and above :data:`GRID_VECTOR_N` nodes the builder dispatches to
     :func:`unit_disk_graph_vectorized` — bit-identical output again
     (node order, adjacency order, everything), with the pair testing
-    done in numpy (or scipy's ``cKDTree`` when installed) instead of
-    per-pair interpreted loops.
+    done in chunked numpy batches instead of per-pair interpreted loops.
 
     Duplicate points are rejected: two radios at the same coordinates
     would be a single node in the UDG model and silently merging them
@@ -208,7 +209,10 @@ def _checked_points(points: Sequence[Point]) -> list[Point]:
     ``docs/usage.md`` §1).  A ``nan`` or ``inf`` coordinate would
     otherwise become an isolated node — silently dropped by the
     largest-component fallback — or, in the vectorized builder, an
-    undefined integer bucket key.
+    undefined integer bucket key.  A duplicate is reported as the first
+    point, in input order, that repeats an earlier one; it is searched
+    for only once the set-size test has failed, so accepted inputs pay
+    for one set build and nothing more.
     """
     pts = list(points)
     isfinite = math.isfinite
@@ -216,15 +220,41 @@ def _checked_points(points: Sequence[Point]) -> list[Point]:
         if not (isfinite(p.x) and isfinite(p.y)):
             raise ValueError(f"non-finite coordinates in UDG input: {p!r}")
     if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points in UDG input")
+        seen: set[Point] = set()
+        for p in pts:
+            if p in seen:
+                raise ValueError(f"duplicate points in UDG input: {p!r}")
+            seen.add(p)
     return pts
 
 
-def unit_disk_graph_vectorized(
+def _coordinate_arrays(
     points: Sequence[Point],
-    radius: float = 1.0,
-    tol: float = EPS,
-    accel: str = "auto",
+) -> tuple[list[Point], np.ndarray, np.ndarray]:
+    """The deployment and its coordinates as ``float64`` arrays, validated.
+
+    The same contract as :func:`_checked_points`, tested on the arrays:
+    ``isfinite``, then a lexicographic sort in which equal points become
+    neighbors.  When either test finds something, the set-based check
+    runs and raises its exact exception; if it finds nothing (distinct
+    coordinates that round to the same ``float64``), the arrays stand.
+    """
+    pts = list(points)
+    n = len(pts)
+    xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
+    ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
+    suspect = not (np.isfinite(xs).all() and np.isfinite(ys).all())
+    if not suspect:
+        order = np.lexsort((ys, xs))
+        sx, sy = xs[order], ys[order]
+        suspect = bool(((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any())
+    if suspect:
+        _checked_points(pts)
+    return pts, xs, ys
+
+
+def unit_disk_graph_vectorized(
+    points: Sequence[Point], radius: float = 1.0, tol: float = EPS
 ) -> Graph[Point]:
     """UDG built with vectorized pair testing; bit-identical to the grid.
 
@@ -232,42 +262,36 @@ def unit_disk_graph_vectorized(
     as :func:`unit_disk_graph`, but with every per-pair step executed
     as numpy array operations instead of interpreted loops.  The output
     is **bit-identical** to the grid builder's at every size — node
-    order, adjacency insertion order, everything — because the builder
-    reconstructs the grid's exact edge emission order: each surviving
-    pair is keyed by ``(emitting bucket's first-appearance rank, scan
-    phase, position of each endpoint in its bucket)`` — the scan phase
-    being within-cell (0) or the index of the cross-cell direction in
-    :data:`_GRID_DIRECTIONS` (1–4) — and sorted by that key, which is
-    precisely the order the grid builder's nested loops emit.  The
-    sorted edges become CSR rows directly (:func:`csr_from_edges` keeps
-    each row in emission order, as ``add_edge`` would), and the result
-    is a :class:`~repro.graphs.csr.CSRGraph` owning them as a ready
-    kernel view; its dict adjacency is built only on first use.  Below
+    order, adjacency insertion order, everything.
+
+    The grid builder visits, for each bucket in first-appearance order,
+    the bucket with itself (scan phase 0) and then each existing
+    half-neighborhood bucket in :data:`_GRID_DIRECTIONS` order (phases
+    1–4), testing every point pair of each bucket pair in nested-loop
+    order.  This builder lists the same bucket pairs in the same order
+    and numbers their point pairs consecutively, so candidate ``k`` of
+    the flat sequence is the ``k``-th pair the grid tests.  The
+    sequence is expanded :data:`_SCAN_CHUNK` candidates at a time —
+    within-bucket pairs filtered to the strict upper triangle,
+    everything by the grid's exact squared-distance predicate — and
+    the surviving edges come out already in the grid's emission order.
+    They become CSR rows directly (:func:`csr_from_edges` keeps each
+    row in emission order, as ``add_edge`` would), and the result is a
+    :class:`~repro.graphs.csr.CSRGraph` owning them as a ready kernel
+    view; its dict adjacency is built only on first use.  Below
     :data:`GRID_SMALL_N` nodes, or for a non-positive radius, the
     result is a plain :class:`Graph`.  The hypothesis suites in
     ``tests/graphs/test_udg_vectorized.py`` and
     ``tests/graphs/test_csr.py`` pin the equivalence.
 
-    ``accel`` picks the candidate-pair source: ``"numpy"`` expands the
-    same neighboring-bucket products the grid builder scans as one
-    batched index computation; ``"kdtree"`` asks scipy's ``cKDTree``
-    for the near pairs directly (fewer candidates, needs the optional
-    scipy dependency) and re-tests them with the grid's exact distance
-    predicate so float boundary cases cannot diverge; ``"auto"``
-    (default) uses the KD-tree when scipy is installed and the numpy
-    expansion otherwise.  Counters (``udg.vector.pairs_tested`` — the
-    bucket pairs the grid scan *would* test, computed from bucket
-    sizes — and ``udg.vector.edges_emitted``) are identical under every
-    ``accel``.
+    Counters: ``udg.vector.pairs_tested`` (the point pairs the grid
+    scan tests, from the bucket sizes) and ``udg.vector.edges_emitted``.
 
     Raises:
-        ValueError: on duplicate points, non-finite coordinates or an
-            unknown ``accel``.
-        MissingDependencyError: for ``accel="kdtree"`` without scipy.
+        ValueError: on duplicate points or non-finite coordinates, with
+            the message :func:`unit_disk_graph` gives.
     """
-    if accel not in ("auto", "numpy", "kdtree"):
-        raise ValueError(f"unknown accel {accel!r}")
-    pts = _checked_points(points)
+    pts, xs, ys = _coordinate_arrays(points)
     if radius <= 0.0:
         return Graph(nodes=pts)
     r_sq = (radius + tol) * (radius + tol)
@@ -281,13 +305,7 @@ def unit_disk_graph_vectorized(
             OBS.incr("udg.vector.pairs_tested", n * (n - 1) // 2)
             OBS.incr("udg.vector.edges_emitted", graph.edge_count())
         return graph
-    if accel == "kdtree":
-        spatial = require_module("scipy.spatial", feature="the cKDTree UDG fast path")
-    else:
-        spatial = optional_module("scipy.spatial") if accel == "auto" else None
     with trace("udg.vector.build"):
-        xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
-        ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
         # Bucket exactly as the grid builder does (same float divisions,
         # same floor), then rank occupied cells by first appearance —
         # the iteration order of the grid builder's bucket dict.
@@ -298,103 +316,71 @@ def unit_disk_graph_vectorized(
         width = int(cy.max()) + 3
         key = cx * width + (cy + 1)  # +1 keeps the oy=-1 neighbor in-row
         uniq, first_idx, inv = np.unique(key, return_index=True, return_inverse=True)
+        cells = uniq.size
         appearance = np.argsort(first_idx, kind="stable")
-        rank_of = np.empty(uniq.size, dtype=np.int64)
-        rank_of[appearance] = np.arange(uniq.size, dtype=np.int64)
-        cell_rank = rank_of[inv]
+        rank_of = np.empty(cells, dtype=np.int64)
+        rank_of[appearance] = np.arange(cells, dtype=np.int64)
         # Bucket membership: perm groups point ids by cell rank (stable,
         # so within a bucket they keep input order, like the grid's
-        # per-cell lists); pos is each point's index in its bucket.
+        # per-cell lists).
+        cell_rank = rank_of[inv]
         perm = np.argsort(cell_rank, kind="stable")
-        sizes = np.bincount(cell_rank, minlength=uniq.size)
+        sizes = np.bincount(cell_rank, minlength=cells)
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        pos = np.empty(n, dtype=np.int64)
-        pos[perm] = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-        # The bucket pairs the grid scan visits: every occupied cell
-        # with itself (phase 0), plus each existing half-neighborhood
-        # cell (phases 1-4), discovered by key lookup.
-        ranks = np.arange(uniq.size, dtype=np.int64)
+        # The bucket pairs the grid scan visits, in its order: slot
+        # rank * 5 + phase holds the partner of bucket ``rank`` in that
+        # phase — itself in phase 0, the half-neighborhood bucket found
+        # by key lookup in phases 1-4 — or -1 where there is none.
         keys_by_rank = uniq[appearance]
-        pair_a = [ranks]
-        pair_b = [ranks]
-        pair_phase = [np.zeros(uniq.size, dtype=np.int64)]
+        partner = np.full((cells, 5), -1, dtype=np.int64)
+        partner[:, 0] = np.arange(cells, dtype=np.int64)
         for phase, (ox, oy) in enumerate(_GRID_DIRECTIONS, start=1):
             nbr = keys_by_rank + ox * width + oy
-            loc = np.minimum(np.searchsorted(uniq, nbr), uniq.size - 1)
+            loc = np.minimum(np.searchsorted(uniq, nbr), cells - 1)
             found = uniq[loc] == nbr
-            pair_a.append(ranks[found])
-            pair_b.append(rank_of[loc[found]])
-            pair_phase.append(np.full(int(found.sum()), phase, dtype=np.int64))
-        cell_a = np.concatenate(pair_a)
-        cell_b = np.concatenate(pair_b)
-        phases = np.concatenate(pair_phase)
-
-        if spatial is not None:
-            # KD-tree path: near pairs from the tree (slightly inflated
-            # query radius so its metric rounding can never drop a pair
-            # the exact predicate accepts), filtered to the grid's
-            # semantics — Chebyshev cell distance <= 1, exact r_sq test.
-            tree = spatial.cKDTree(np.column_stack((xs, ys)))
-            cand = tree.query_pairs(
-                r=(radius + tol) * (1.0 + 1e-9), output_type="ndarray"
+            partner[found, phase] = rank_of[loc[found]]
+        partner = partner.ravel()
+        slots = np.flatnonzero(partner >= 0)
+        cell_a = slots // 5
+        cell_b = partner[slots]
+        within = slots % 5 == 0
+        counts = sizes[cell_a] * sizes[cell_b]
+        ends = np.cumsum(counts)
+        begins = ends - counts
+        total = int(ends[-1])
+        # Expand the flat candidate sequence chunk by chunk: each chunk
+        # covers candidates [lo, hi), clipped from the bucket pairs that
+        # overlap it, so memory stays bounded however large the input.
+        lefts = []
+        rights = []
+        for lo in range(0, total, _SCAN_CHUNK):
+            hi = min(lo + _SCAN_CHUNK, total)
+            first = int(np.searchsorted(ends, lo, side="right"))
+            last = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+            span = np.minimum(ends[first:last], hi) - np.maximum(
+                begins[first:last], lo
             )
-            ci, cj = cand[:, 0], cand[:, 1]
-            dcx = cx[cj] - cx[ci]
-            dcy = cy[cj] - cy[ci]
-            near = (np.abs(dcx) <= 1) & (np.abs(dcy) <= 1)
-            ci, cj, dcx, dcy = ci[near], cj[near], dcx[near], dcy[near]
-            dx = xs[ci] - xs[cj]
-            dy = ys[ci] - ys[cj]
-            hit = dx * dx + dy * dy <= r_sq
-            ci, cj, dcx, dcy = ci[hit], cj[hit], dcx[hit], dcy[hit]
-            # Orient each pair the way the grid emits it: the emitting
-            # cell is the one whose scan reaches the pair — the common
-            # cell within (tree pairs have i < j, matching pos order),
-            # the _GRID_DIRECTIONS source cell across.
-            phase_fwd = _PHASE_OF[dcx + 1, dcy + 1]
-            phase_rev = _PHASE_OF[1 - dcx, 1 - dcy]
-            same = (dcx == 0) & (dcy == 0)
-            swap = ~same & (phase_fwd == 0)
-            left = np.where(swap, cj, ci)
-            right = np.where(swap, ci, cj)
-            phase = np.where(swap, phase_rev, phase_fwd)
-            op = cell_rank[left] * 5 + phase
-        else:
-            # Pure-numpy path: expand every scanned bucket pair's full
-            # point product in one batch, then filter — within-cell
-            # products to the strict upper triangle, everything by the
-            # exact distance predicate.
-            ma = sizes[cell_a]
-            mb = sizes[cell_b]
-            counts = ma * mb
-            total = int(counts.sum())
-            pair_id = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-            t = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            mbp = mb[pair_id]
-            ip = t // mbp
-            jp = t - ip * mbp
-            keep = (phases[pair_id] > 0) | (ip < jp)
+            pair_id = np.repeat(np.arange(first, last, dtype=np.int64), span)
+            t = np.arange(lo, hi, dtype=np.int64) - begins[pair_id]
+            mb = sizes[cell_b[pair_id]]
+            ip = t // mb
+            jp = t - ip * mb
+            keep = ~within[pair_id] | (ip < jp)
             pair_id, ip, jp = pair_id[keep], ip[keep], jp[keep]
             left = perm[starts[cell_a[pair_id]] + ip]
             right = perm[starts[cell_b[pair_id]] + jp]
             dx = xs[left] - xs[right]
             dy = ys[left] - ys[right]
             hit = dx * dx + dy * dy <= r_sq
-            left, right, pair_id = left[hit], right[hit], pair_id[hit]
-            op = cell_a[pair_id] * 5 + phases[pair_id]
-
-        # Lay the surviving edges out in the grid builder's emission
-        # order: by emitting bucket rank and phase, then by each
-        # endpoint's position in its bucket (the nested loop indices).
-        order = np.lexsort((pos[right], pos[left], op))
-        indptr, indices = csr_from_edges(n, left[order], right[order])
+            lefts.append(left[hit])
+            rights.append(right[hit])
+        indptr, indices = csr_from_edges(
+            n, np.concatenate(lefts), np.concatenate(rights)
+        )
         graph = CSRGraph.from_csr(tuple(pts), indptr, indices)
     if counting:
-        cross = phases > 0
         pairs_tested = int((sizes * (sizes - 1) // 2).sum()) + int(
-            (sizes[cell_a[cross]] * sizes[cell_b[cross]]).sum()
+            counts[~within].sum()
         )
         OBS.incr("udg.vector.pairs_tested", pairs_tested)
         OBS.incr("udg.vector.edges_emitted", graph.edge_count())

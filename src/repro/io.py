@@ -10,8 +10,9 @@ Round-tripping is exact: coordinates are written with ``repr`` so
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .geometry.point import Point
 from .cds.base import CDSResult
@@ -70,11 +71,47 @@ def _obj_to_node(obj: object):
     return obj
 
 
+def _nested_json(value: object) -> str:
+    """``json.dumps(value, indent=2)`` as a value of the top-level object
+    (one level deeper: JSON text holds no raw newline but its own)."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _nodes_json(nodes: Sequence) -> str:
+    """:func:`_nested_json` of a node list, fast for Points.
+
+    With ``indent`` set, CPython's ``json`` takes its pure-Python
+    encoder.  A list of Points with finite ``float`` coordinates is
+    written directly instead, in the same layout — ``repr`` is exactly
+    how ``json`` spells a finite float — and anything else (other node
+    types, int or non-finite coordinates) goes through ``json.dumps``.
+    """
+    if not nodes:
+        return "[]"
+    items = []
+    isfinite = math.isfinite
+    for node in nodes:
+        if type(node) is not Point:
+            break
+        x, y = node.x, node.y
+        if type(x) is not float or type(y) is not float:
+            break
+        if not (isfinite(x) and isfinite(y)):
+            break
+        items.append(f'    {{\n      "x": {x!r},\n      "y": {y!r}\n    }}')
+    else:
+        return "[\n" + ",\n".join(items) + "\n  ]"
+    return _nested_json([_point_to_obj(v) for v in nodes])
+
+
 def save_result(result: CDSResult, path: str | Path) -> None:
     """Write a :class:`CDSResult` as JSON.
 
-    ``meta`` is stored only where JSON-serializable; unserializable
-    entries are dropped (they are run diagnostics, not results).
+    The bytes are those of ``json.dumps(payload, indent=2) + "\n"``;
+    the node lists are written by :func:`_nodes_json`, everything else
+    by ``json`` itself.  ``meta`` is stored only where
+    JSON-serializable; unserializable entries are dropped (they are run
+    diagnostics, not results).
     """
     meta = {}
     for key, value in result.meta.items():
@@ -83,14 +120,15 @@ def save_result(result: CDSResult, path: str | Path) -> None:
         except TypeError:
             continue
         meta[key] = value
-    payload = {
-        "algorithm": result.algorithm,
-        "nodes": [_point_to_obj(v) for v in sorted(result.nodes)],
-        "dominators": [_point_to_obj(v) for v in result.dominators],
-        "connectors": [_point_to_obj(v) for v in result.connectors],
-        "meta": meta,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    fields = [
+        ("algorithm", _nested_json(result.algorithm)),
+        ("nodes", _nodes_json(sorted(result.nodes))),
+        ("dominators", _nodes_json(result.dominators)),
+        ("connectors", _nodes_json(result.connectors)),
+        ("meta", _nested_json(meta)),
+    ]
+    body = ",\n".join(f'  "{key}": {text}' for key, text in fields)
+    Path(path).write_text("{\n" + body + "\n}\n")
 
 
 def load_result(path: str | Path) -> CDSResult:

@@ -15,20 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import _optional
 from repro.geometry import Point
 from repro.graphs import Graph, IndexedGraph, build_kernel, is_connected
 from repro.graphs.array import ArrayGraph
 from repro.graphs.csr import CSRGraph, csr_from_edges
 from repro.graphs.generators import uniform_points
 from repro.graphs.properties import is_connected_dominating_set
+from repro.graphs.traversal import largest_component
 from repro.graphs.udg import GRID_SMALL_N, unit_disk_graph, unit_disk_graph_vectorized
 from repro.obs import OBS
 
 from .test_udg_vectorized import assert_same_graph_ordered
-
-HAVE_SCIPY = _optional.optional_module("scipy.spatial") is not None
-ACCELS = ["numpy"] + (["kdtree"] if HAVE_SCIPY else [])
 
 coords = st.floats(min_value=0.0, max_value=9.0, allow_nan=False)
 point_lists = st.lists(
@@ -52,9 +49,9 @@ def assert_same_adjacency(a, b):
         assert list(row) == list(b._adj[v])
 
 
-def built_pair(n=150, side=8.0, seed=0, accel="numpy"):
+def built_pair(n=150, side=8.0, seed=0):
     pts = uniform_points(n, side, random.Random(seed))
-    return unit_disk_graph(pts), unit_disk_graph_vectorized(pts, accel=accel)
+    return unit_disk_graph(pts), unit_disk_graph_vectorized(pts)
 
 
 class TestCSRFromEdges:
@@ -79,13 +76,35 @@ class TestCSRFromEdges:
         assert indices.tolist() == reference.indices
 
 
+class TestLargestComponent:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_labels_match_dict_components(self, data):
+        # Same component, including which one wins a size tie, as the
+        # dict traversal: random graphs have many small components.
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        pairs = st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1)
+        ).filter(lambda e: e[0] != e[1])
+        edges = data.draw(
+            st.lists(pairs, max_size=40, unique_by=lambda e: frozenset(e))
+        )
+        plain: Graph[int] = Graph(nodes=range(n))
+        for u, v in edges:
+            plain.add_edge(u, v)
+        left = np.array([u for u, _ in edges], dtype=np.int64)
+        right = np.array([v for _, v in edges], dtype=np.int64)
+        csr = CSRGraph.from_csr(tuple(range(n)), *csr_from_edges(n, left, right))
+        assert largest_component(csr) == largest_component(plain)
+        assert not dict_built(csr)
+
+
 class TestBuilderOutput:
-    @pytest.mark.parametrize("accel", ACCELS)
     @settings(max_examples=40, deadline=None)
     @given(pts=point_lists)
-    def test_matches_grid_before_and_after_dict(self, accel, pts):
+    def test_matches_grid_before_and_after_dict(self, pts):
         grid = unit_disk_graph(pts)
-        csr = unit_disk_graph_vectorized(pts, accel=accel)
+        csr = unit_disk_graph_vectorized(pts)
         assert isinstance(csr, CSRGraph)
         assert_same_graph_ordered(grid, csr)
         assert len(csr) == len(grid)
@@ -97,9 +116,8 @@ class TestBuilderOutput:
         assert_same_adjacency(csr, grid)
         assert_same_graph_ordered(grid, csr)
 
-    @pytest.mark.parametrize("accel", ACCELS)
-    def test_kernel_views_equal_interned_dict(self, accel):
-        grid, csr = built_pair(accel=accel)
+    def test_kernel_views_equal_interned_dict(self):
+        grid, csr = built_pair()
         reference = IndexedGraph.from_graph(grid)
         index = IndexedGraph.from_graph(csr)
         assert index.nodes == reference.nodes

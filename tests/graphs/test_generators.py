@@ -97,3 +97,83 @@ class TestLargestComponent:
         kept, graph = largest_component_udg(pts)
         assert kept == pts
         assert len(graph) == 4
+
+
+def reference_largest_component(points):
+    """The fallback as it was: build, walk the dict graph for components,
+    keep the first largest one in input order."""
+    from repro.graphs import Graph, connected_components
+
+    graph = unit_disk_graph(points)
+    plain = Graph(nodes=graph.nodes())
+    for u, v in graph.edges():
+        plain.add_edge(u, v)
+    comps = connected_components(plain)
+    if not comps:
+        return [], plain
+    biggest = set(max(comps, key=len))
+    kept = [p for p in points if p in biggest]
+    return kept, graph.subgraph(kept)
+
+
+def assert_same_subgraph(a, b):
+    assert a.nodes() == b.nodes()
+    assert a.edges() == b.edges()
+    assert all(a.neighbors(v) == b.neighbors(v) for v in a.nodes())
+
+
+class TestLargestComponentReuse:
+    """``largest_component_udg(points, graph)`` reuses the built graph
+    and labels components on the CSR view when there is one."""
+
+    @pytest.mark.parametrize("vector_n", [None, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, monkeypatch, vector_n, seed):
+        import repro.graphs.udg as udg
+
+        if vector_n is not None:
+            monkeypatch.setattr(udg, "GRID_VECTOR_N", vector_n)
+        pts = uniform_points(220, 15.0, seed=seed)
+        graph = unit_disk_graph(pts)
+        assert not is_connected(graph)
+        kept, sub = largest_component_udg(pts, graph)
+        ref_kept, ref_sub = reference_largest_component(pts)
+        assert 0 < len(kept) < len(pts)
+        assert kept == ref_kept
+        assert_same_subgraph(sub, ref_sub)
+        assert type(sub) is type(ref_sub)
+
+    @pytest.mark.parametrize("vector_n", [None, 64])
+    def test_tie_keeps_first_component(self, monkeypatch, vector_n):
+        import repro.graphs.udg as udg
+
+        if vector_n is not None:
+            monkeypatch.setattr(udg, "GRID_VECTOR_N", vector_n)
+        # Three 40-node chains, interleaved in input order; the one whose
+        # first node comes first wins the tie.
+        chains = [[Point(0.5 * i, 10.0 * c) for i in range(40)] for c in range(3)]
+        pts = [chains[c][i] for i in range(40) for c in (2, 0, 1)]
+        pts.append(Point(100.0, 100.0))
+        kept, _ = largest_component_udg(pts)
+        assert kept == chains[2]
+        assert kept == reference_largest_component(pts)[0]
+
+    def test_builds_once(self, monkeypatch):
+        import repro.graphs.generators as generators
+        import repro.graphs.udg as udg
+
+        monkeypatch.setattr(udg, "GRID_VECTOR_N", 64)
+        builds = []
+        real = udg.unit_disk_graph
+
+        def counting(points, *args, **kwargs):
+            builds.append(len(points))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(generators, "unit_disk_graph", counting)
+        pts = uniform_points(220, 15.0, seed=1)
+        graph = real(pts)
+        largest_component_udg(pts, graph)
+        assert builds == []
+        largest_component_udg(pts)
+        assert builds == [220]

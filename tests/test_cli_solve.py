@@ -360,3 +360,47 @@ class TestBenchSubcommand:
         b.write_text(json.dumps(snap))
         assert main(["bench", "compare", str(a), str(b)]) == 0
         assert "Bench trend report" in capsys.readouterr().out
+
+
+class TestDisconnectedFallback:
+    def test_udg_built_once(self, tmp_path, monkeypatch, capsys):
+        # The fallback reuses the graph the connectivity check ran on,
+        # and its CSR view: one build, same note as before.
+        import repro.graphs.generators as generators
+        import repro.graphs.udg as udg
+        from repro.graphs import uniform_points
+
+        monkeypatch.setattr(udg, "GRID_VECTOR_N", 64)
+        builds = []
+        real = udg.unit_disk_graph_vectorized
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(udg, "unit_disk_graph_vectorized", counting)
+        pts = uniform_points(300, 17.0, seed=2)
+        kept, _ = generators.largest_component_udg(pts)
+        builds.clear()
+        path = tmp_path / "sparse.csv"
+        save_points(pts, path)
+        out_file = tmp_path / "result.json"
+        assert main(["solve", str(path), "--out", str(out_file)]) == 0
+        assert builds == [1]
+        out = capsys.readouterr().out
+        assert (
+            f"note: deployment disconnected; using the largest component "
+            f"({len(kept)} of {len(pts)} nodes)"
+        ) in out
+        result = load_result(out_file)
+        assert result.nodes <= set(kept)
+
+    def test_duplicate_point_named(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y\n0.25,0.5\n1.5,0.5\n0.25,0.5\n")
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            "cannot build deployment graph: duplicate points in UDG input: "
+            "Point(x=0.25, y=0.5)"
+        )

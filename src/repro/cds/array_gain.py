@@ -14,16 +14,16 @@ the remaining element work through numpy:
   its component's root eagerly (weighted relabel on merge: the smaller
   member list is rewritten with one vectorized scatter, ``O(n log n)``
   ids moved over a whole run), so re-scoring never walks a union-find —
-  a candidate batch's adjacent components are one gather plus one
-  ``np.unique`` over ``owner·n + root`` keys.
+  a candidate batch's adjacent components are one gather plus one sort
+  of ``owner·n + root`` keys, deduplicated by a neighbour compare.
 
 * **Batched re-scoring over the dirty frontier.**  Invalidated
   candidates accumulate between selections and are re-scored as one
   vectorized batch: gather all their neighbor rows
   (:func:`~repro.graphs.array.gather_rows`), keep the included ones,
-  count distinct ``(candidate, root)`` pairs, and scatter the new gains
-  back into the dense ``gains`` array.  ``gain.evaluations`` keeps its
-  meaning — candidates actually re-scored.
+  count distinct ``(candidate, root)`` pairs, and write the new gains
+  into the gain cache.  ``gain.evaluations`` keeps its meaning —
+  candidates actually re-scored.
 
 * **Watcher lists with a base-exempt pop.**  Like the lazy tracker,
   each scored candidate with gain ≥ 1 registers under the roots it
@@ -37,13 +37,19 @@ the remaining element work through numpy:
   This is what removes the lazy tracker's giant-component pathology
   without the bitset tracker's whole-mask overlap algebra.
 
-* **Lazy max-heaps per tie-break.**  Selection pops a heap of
-  ``(-gain, rank, id)`` entries (rank = position in ascending node
-  value order, exactly the bitset tracker's level bit space), with
-  stale entries discarded against the dense ``gains`` array — amortized
-  ``O(log)`` per (re)score instead of a per-round candidate scan.
-  Graphs whose nodes are not mutually orderable fall back to the lazy
-  tracker's explicit ascending-id scan with value comparisons.
+* **Lazy integer-keyed heaps per tie-break.**  Selection pops a min-heap
+  of plain ``int`` keys, one per entry, that order exactly as the
+  ``(gain, tie-break)`` preference does: ``(n−g)·n + rank`` for
+  ``"min"``, ``(n−g)·n + (n−1−rank)`` for ``"max"`` and
+  ``((n−g)·n + (n−1−deg))·n + rank`` for ``"degree"`` (rank = position
+  in ascending node value order, exactly the bitset tracker's level
+  bit space; ``divmod`` decodes gain and id).  An entry is stale when
+  its gain differs from the cached one (an included id caches 0) and is
+  discarded on pop.  A re-scored candidate is pushed **only when its
+  gain changed**: entries leave a heap only when stale and the winner
+  is never re-scored, so every cached gain ≥ 1 already has a live
+  entry.  Graphs whose nodes are not mutually orderable fall back to
+  the lazy tracker's explicit ascending-id scan with value comparisons.
 
 Selections are **bit-identical** to both other trackers (and so to the
 reference :class:`~repro.cds.gain.GainTracker`) under every tie-break
@@ -57,10 +63,13 @@ counts re-scored candidates, and the vector paths report
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, TypeVar
+from collections import defaultdict
+from operator import attrgetter
+from typing import Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from ..geometry.point import Point
 from ..graphs.array import ArrayGraph, gather_rows
 from ..graphs.bitset import value_sort_keys
 from ..obs import OBS
@@ -68,7 +77,47 @@ from .gain import _smaller
 
 N = TypeVar("N", bound=Hashable)
 
-__all__ = ["ArrayGainTracker"]
+__all__ = ["ArrayGainTracker", "value_order"]
+
+_x_of = attrgetter("x")
+_y_of = attrgetter("y")
+
+
+def value_order(nodes: Sequence) -> list[int] | None:
+    """Ids ``0..n-1`` sorted by node value, or ``None`` if the nodes
+    are not mutually orderable.
+
+    Equal to ``sorted(range(n), key=nodes.__getitem__)``.  When every
+    node is a :class:`~repro.geometry.point.Point` with finite ``float``
+    coordinates (every deployment), the order is one stable
+    ``np.lexsort`` of the coordinate arrays; any other sequence (int
+    or tuple nodes, int coordinates, ``nan``/``inf``) is sorted by
+    value, as before.
+    """
+    n = len(nodes)
+    if n and set(map(type, nodes)) == {Point}:
+        xl = list(map(_x_of, nodes))
+        yl = list(map(_y_of, nodes))
+        if set(map(type, xl)) == {float} and set(map(type, yl)) == {float}:
+            xs = np.array(xl, dtype=np.float64)
+            ys = np.array(yl, dtype=np.float64)
+            if np.isfinite(xs).all() and np.isfinite(ys).all():
+                return np.lexsort((ys, xs)).tolist()
+    try:
+        return sorted(range(n), key=value_sort_keys(nodes).__getitem__)
+    except TypeError:
+        return None
+
+
+def _distinct(sorted_ids: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (``np.unique`` without
+    its re-sort)."""
+    if sorted_ids.size < 2:
+        return sorted_ids
+    keep = np.empty(sorted_ids.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=keep[1:])
+    return sorted_ids[keep]
 
 
 class ArrayGainTracker:
@@ -92,7 +141,6 @@ class ArrayGainTracker:
         "_n",
         "_order",
         "_valrank",
-        "_value_ranked",
         "_included",
         "_included_count",
         "_dominators",
@@ -103,7 +151,6 @@ class ArrayGainTracker:
         "_gains",
         "_pending",
         "_heaps",
-        "_degrees",
     )
 
     def __init__(self, array: ArrayGraph[N], dominators: Iterable[N]):
@@ -118,20 +165,16 @@ class ArrayGainTracker:
         self._n = n
         nodes = index.nodes
         # Tie-break rank space: ascending node-value order when the
-        # nodes admit one (heap entries then order by rank), id order
-        # plus explicit value comparisons otherwise.
-        try:
-            order = sorted(range(n), key=value_sort_keys(nodes).__getitem__)
-            value_ranked = True
-        except TypeError:
-            order = list(range(n))
-            value_ranked = False
+        # nodes admit one (heap keys then encode the rank), explicit
+        # value comparisons otherwise.
+        order = value_order(nodes)
         self._order = order
-        self._value_ranked = value_ranked
-        valrank = [0] * n
-        for r, i in enumerate(order):
-            valrank[i] = r
-        self._valrank = valrank
+        if order is None:
+            self._valrank = None
+        else:
+            valrank = np.empty(n, dtype=np.int64)
+            valrank[order] = np.arange(n, dtype=np.int64)
+            self._valrank = valrank
 
         dom_ids = []
         for d in dominators:
@@ -165,17 +208,18 @@ class ArrayGainTracker:
             for v, u in zip(owners.tolist(), nbrs[inc_mask].tolist()):
                 self._merge_pair(int(v), int(u))
 
-        #: dense gain cache; exact for every scored, non-pending id.
-        self._gains = np.zeros(n, dtype=np.int64)
+        #: gain cache, one int per id; exact for every scored,
+        #: non-pending id, and 0 for included ids.
+        self._gains = [0] * n
         #: root id -> candidate ids whose cached gain counted it (may
         #: hold stale duplicates; filtered on pop).
-        self._watchers: dict[int, list[int]] = {}
+        self._watchers: defaultdict[int, list[int]] = defaultdict(list)
         #: invalidated-candidate chunks awaiting the next batch rescore;
         #: seeded with the whole initial frontier N(I) \\ I.
-        self._pending: list[np.ndarray] = [np.unique(nbrs[~inc_mask])]
-        #: per-tie-break lazy max-heaps, created on first use.
-        self._heaps: dict[str, list] = {}
-        self._degrees: list[int] | None = None
+        self._pending: list[np.ndarray] = [nbrs[~inc_mask]]
+        #: tie-break -> (heap of int keys, per-id key offsets, key
+        #: scale, rank -> id, rank divisor), created on first use.
+        self._heaps: dict[str, tuple] = {}
 
     def _merge_pair(self, v: int, u: int) -> None:
         """Union the components of two included ids (init-time only)."""
@@ -187,7 +231,7 @@ class ArrayGainTracker:
         if len(members[rv]) < len(members[ru]):
             rv, ru = ru, rv
         moved = members.pop(ru)
-        comp_id[np.array(moved, dtype=np.int64)] = rv
+        comp_id[moved] = rv
         members[rv].extend(moved)
         self._components -= 1
 
@@ -217,20 +261,19 @@ class ArrayGainTracker:
         one per adjacent component.
         """
         nodes = self._index.nodes
-        return {
-            nodes[int(r)] for r in self._roots_of(self._index.id_of(w))
-        }
+        return {nodes[r] for r in self._roots_of(self._index.id_of(w))}
 
     def gain(self, w: N) -> int:
         """``Δ_w q(U)`` for the current ``U`` (computed fresh)."""
         wi = self._index.id_of(w)
         if self._included[wi]:
             return 0
-        return max(0, self._roots_of(wi).size - 1)
+        return max(0, len(self._roots_of(wi)) - 1)
 
-    def _roots_of(self, wi: int) -> np.ndarray:
+    def _roots_of(self, wi: int) -> list[int]:
+        """Ascending roots of the components adjacent to ``wi``."""
         nbrs = self._indices[self._indptr[wi] : self._indptr[wi + 1]]
-        return np.unique(self._comp_id[nbrs[self._included[nbrs]]])
+        return sorted(set(self._comp_id[nbrs[self._included[nbrs]]].tolist()))
 
     # -- mutation -------------------------------------------------------------
 
@@ -245,14 +288,15 @@ class ArrayGainTracker:
         Raises:
             ValueError: if ``w`` is already included.
         """
-        index = self._index
-        wi = int(index.id_of(w))
+        wi = self._index.id_of(w)
         included = self._included
         if included[wi]:
             raise ValueError(f"{w!r} already included")
-        roots = self._roots_of(wi)
-
         comp_id = self._comp_id
+        nbrs = self._indices[self._indptr[wi] : self._indptr[wi + 1]]
+        inc_mask = included[nbrs]
+        roots = sorted(set(comp_id[nbrs[inc_mask]].tolist()))
+
         members = self._members
         watchers = self._watchers
         pending = self._pending
@@ -260,7 +304,7 @@ class ArrayGainTracker:
         # ties to the smallest root id for determinism.
         base = wi
         base_size = 1
-        for r in roots.tolist():
+        for r in roots:
             size = len(members[r])
             if size > base_size or (size == base_size and r < base):
                 base, base_size = r, size
@@ -269,23 +313,23 @@ class ArrayGainTracker:
         else:
             comp_id[wi] = base
             members[base].append(wi)
-        for r in roots.tolist():
+        for r in roots:
             if r == base:
                 continue
             moved = members.pop(r)
-            comp_id[np.array(moved, dtype=np.int64)] = base
+            comp_id[moved] = base
             members[base].extend(moved)
             stale = watchers.pop(r, None)
             if stale:
                 pending.append(np.array(stale, dtype=np.int64))
 
         included[wi] = True
+        self._gains[wi] = 0
         self._included_count += 1
-        merged = int(roots.size)
+        merged = len(roots)
         self._components += 1 - merged
 
-        nbrs = self._indices[self._indptr[wi] : self._indptr[wi + 1]]
-        fresh = nbrs[~included[nbrs]]
+        fresh = nbrs[~inc_mask]
         if fresh.size:
             pending.append(fresh)
         if OBS.enabled:
@@ -299,23 +343,24 @@ class ArrayGainTracker:
         pending = self._pending
         if not pending:
             return
-        cand = np.unique(np.concatenate(pending))
+        cand = np.concatenate(pending)
         pending.clear()
         included = self._included
         cand = cand[~included[cand]]
         if not cand.size:
             return
+        cand.sort()
+        cand = _distinct(cand)
         n = self._n
         nbrs, counts = gather_rows(self._indptr, self._indices, cand)
         inc_mask = included[nbrs]
         owners = np.repeat(np.arange(cand.size, dtype=np.int64), counts)[inc_mask]
-        roots = self._comp_id[nbrs[inc_mask]]
         # Distinct (candidate, root) pairs -> adjacent-component counts.
-        pairs = np.unique(owners * n + roots)
+        pairs = owners * n + self._comp_id[nbrs[inc_mask]]
+        pairs.sort()
+        pairs = _distinct(pairs)
         pair_owner = pairs // n
         cnt = np.bincount(pair_owner, minlength=cand.size)
-        gains = np.maximum(cnt - 1, 0)
-        self._gains[cand] = gains
         # Register watchers for candidates with >= 2 adjacent parts
         # (gain-0 candidates cannot lose a part without it merging into
         # another part of theirs, and gaining one goes through N(w)).
@@ -323,50 +368,56 @@ class ArrayGainTracker:
         if multi.any():
             watchers = self._watchers
             reg_c = cand[pair_owner[multi]].tolist()
-            reg_r = (pairs[multi] % n).tolist()
+            reg_r = (pairs[multi] - pair_owner[multi] * n).tolist()
             for c, r in zip(reg_c, reg_r):
-                lst = watchers.get(r)
-                if lst is None:
-                    watchers[r] = [c]
-                else:
-                    lst.append(c)
-        if self._heaps:
-            pos = np.flatnonzero(gains >= 1)
-            if pos.size:
-                ids = cand[pos].tolist()
-                gs = gains[pos].tolist()
-                for tie_break, heap in self._heaps.items():
-                    push = heapq.heappush
-                    for c, g in zip(ids, gs):
-                        push(heap, self._entry(tie_break, c, g))
+                watchers[r].append(c)
+        # Update the cache; push only the candidates whose gain changed
+        # (an unchanged gain >= 1 still has its live entry).
+        gains = self._gains
+        changed = []
+        for c, g in zip(cand.tolist(), np.maximum(cnt - 1, 0).tolist()):
+            if gains[c] != g:
+                gains[c] = g
+                if g:
+                    changed.append((c, g))
+        if changed and self._heaps:
+            push = heapq.heappush
+            for heap, offset, scale, _, _ in self._heaps.values():
+                for c, g in changed:
+                    push(heap, (n - g) * scale + offset[c])
         if OBS.enabled:
             OBS.incr("gain.evaluations", int(cand.size))
             OBS.incr("array.rescore_batches")
             OBS.incr("array.gather_elements", int(nbrs.size))
 
-    def _entry(self, tie_break: str, c: int, g: int) -> tuple:
-        valrank = self._valrank
-        if tie_break == "min":
-            return (-g, valrank[c], c)
-        if tie_break == "max":
-            return (-g, -valrank[c], c)
-        degrees = self._degrees
-        if degrees is None:
-            degree = self._index.degree
-            degrees = self._degrees = [degree(i) for i in range(self._n)]
-        return (-g, -degrees[c], valrank[c], c)
+    def _heap_for(self, tie_break: str) -> tuple:
+        """The ``(heap, offset, scale, ids, div)`` record of a tie-break.
 
-    def _heap_for(self, tie_break: str) -> list:
-        heap = self._heaps.get(tie_break)
-        if heap is None:
-            gains = self._gains
-            live = np.flatnonzero((gains >= 1) & ~self._included)
+        Key ``(n−g)·scale + offset[c]``; ``divmod(key, n)`` gives
+        ``(q, r)`` with id ``ids[r]`` and gain ``n − q // div``.
+        """
+        record = self._heaps.get(tie_break)
+        if record is None:
+            n = self._n
+            valrank = self._valrank
+            order = self._order
+            if tie_break == "min":
+                offset, scale, ids, div = valrank, n, order, 1
+            elif tie_break == "max":
+                offset, scale, ids, div = n - 1 - valrank, n, order[::-1], 1
+            else:
+                degrees = self._array.degrees
+                offset = (n - 1 - degrees) * n + valrank
+                scale, ids, div = n * n, order, n
+            offset = offset.tolist()
             heap = [
-                self._entry(tie_break, int(c), int(gains[c])) for c in live
+                (n - g) * scale + offset[c]
+                for c, g in enumerate(self._gains)
+                if g
             ]
             heapq.heapify(heap)
-            self._heaps[tie_break] = heap
-        return heap
+            record = self._heaps[tie_break] = (heap, offset, scale, ids, div)
+        return record
 
     def best_connector(self, tie_break: str = "min") -> tuple[N, int]:
         """The not-yet-included node of maximum gain.
@@ -381,17 +432,17 @@ class ArrayGainTracker:
         if self._components <= 1:
             raise ValueError("already connected; no connector needed")
         self._rescore_pending()
-        if not self._value_ranked:
+        if self._order is None:
             return self._scan_unranked(tie_break)
-        heap = self._heap_for(tie_break)
+        heap, _, _, ids, div = self._heap_for(tie_break)
         gains = self._gains
-        included = self._included
+        n = self._n
         pop = heapq.heappop
         while heap:
-            entry = heap[0]
-            c = entry[-1]
-            g = -entry[0]
-            if included[c] or gains[c] != g:
+            q, r = divmod(heap[0], n)
+            c = ids[r]
+            g = n - q // div
+            if gains[c] != g:
                 pop(heap)
                 continue
             return self._index.nodes[c], g
@@ -403,13 +454,13 @@ class ArrayGainTracker:
     def _scan_unranked(self, tie_break: str) -> tuple[N, int]:
         """Explicit ascending-id argmax for unorderable node mixes —
         the comparison structure of :meth:`LazyGainTracker.best_connector`."""
-        gains = self._gains
         nodes = self._index.nodes
         degree = self._index.degree
         best_id = -1
         best_gain = 0
-        for c in np.flatnonzero((gains >= 1) & ~self._included).tolist():
-            g = int(gains[c])
+        for c, g in enumerate(self._gains):
+            if g < 1:
+                continue
             if g > best_gain:
                 best_id, best_gain = c, g
                 continue

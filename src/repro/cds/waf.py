@@ -138,13 +138,14 @@ def waf_cds(
             "dfs" — Section III allows an arbitrary rooted tree).
         kernel: graph-kernel selection for the hot loops — one of
             :data:`~repro.graphs.backend.KERNELS`.  ``"auto"`` (default)
-            resolves to the CSR kernel at every size: WAF's coverage
-            scan walks short adjacency rows and is not mask-bound, so
-            neither accelerated kernel's build pays for itself here
-            (see ``docs/performance.md`` §large-n).  Pass ``"bitset"``
-            or ``"array"`` explicitly to exercise the mask-based or
-            vectorized coverage scan; the result is identical under
-            every kernel.
+            skips the bitset tier: WAF's first-fit and coverage scans
+            walk short adjacency rows and are not mask-bound.  It
+            resolves to the CSR kernel below
+            :data:`~repro.graphs.backend.ARRAY_AUTO_N` nodes and to the
+            array kernel from there up, where a CSR-built graph already
+            owns the array view (see ``docs/performance.md`` §8).  Pass
+            ``"bitset"`` explicitly to exercise the mask-based coverage
+            scan; the result is identical under every kernel.
 
     Returns:
         A validated-shape :class:`CDSResult` with ``dominators`` the

@@ -57,11 +57,11 @@ def gather_rows(
     k-th row's length — the shared gather primitive of every vectorized
     hot path (BFS frontiers, gain re-scoring, coverage counting).
     """
-    counts = indptr[ids + 1] - indptr[ids]
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return indices[:0], counts
-    starts = indptr[ids]
     cum = np.cumsum(counts)
     flat = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - counts), counts)
     return indices[flat], counts

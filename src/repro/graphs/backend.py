@@ -13,7 +13,8 @@ explicit so algorithms stop caring which one they run on:
   it owns the mid range (``~600 ≤ n < ~20 000``).
 * :class:`~repro.graphs.array.ArrayGraph` — CSR adjacency as numpy
   ``int64`` buffers.  Vectorized frontier/batch operations with ``O(E)``
-  memory; owns the large range (``n ≥ ~20 000`` through 10⁶).
+  memory; owns the large range (``n ≥ ~20 000`` through 10⁶) for every
+  solver, WAF included.
 
 The :class:`Backend` protocol names the surface every kernel provides
 (id interning, degrees, BFS/components); construction and per-kernel
@@ -69,11 +70,12 @@ __all__ = [
 #: 1000-node fixtures; see ``docs/performance.md`` §large-n).
 BITSET_AUTO_N = 600
 
-#: Node count at which ``kernel="auto"`` switches from the bitset
-#: kernel to the array kernel.  Beyond it the bitset's ``n²/8``-byte
-#: masks and ``⌈n/64⌉``-word per-round scans lose to numpy's O(E)
-#: buffers and batched vector calls (measured crossover is between the
-#: udg10000 and udg100000 fixtures; see ``docs/performance.md``).
+#: Node count at which ``kernel="auto"`` switches to the array kernel
+#: (from the bitset kernel, or from the CSR kernel for solvers that skip
+#: the bitset tier).  Beyond it the bitset's ``n²/8``-byte masks and
+#: ``⌈n/64⌉``-word per-round scans lose to numpy's O(E) buffers and
+#: batched vector calls (measured crossover is between the udg10000 and
+#: udg100000 fixtures; see ``docs/performance.md``).
 ARRAY_AUTO_N = 20000
 
 #: Valid ``kernel=`` arguments, CLI ``--kernel`` choices included.
@@ -130,12 +132,15 @@ def choose_kernel(n: int, kernel: str = "auto", auto_bitset: bool = True) -> str
 
     ``"auto"`` reads the three-way size table: the CSR kernel below
     :data:`BITSET_AUTO_N` nodes, the bitset kernel from there up to
-    :data:`ARRAY_AUTO_N`, and the numpy array kernel beyond.  A solver
-    whose hot loop does not profit from the accelerated kernels at any
-    size (WAF's coverage scan walks short CSR rows faster than it
-    popcounts masks or amortizes vector-call overhead at UDG-typical
-    degrees) passes ``auto_bitset=False`` to keep ``"auto"`` on the CSR
-    kernel; explicit kernel names are always honored.
+    :data:`ARRAY_AUTO_N`, and the numpy array kernel from there on.  A
+    solver whose hot loop does not profit from the bitset kernel (WAF:
+    its first-fit scan and coverage count walk short CSR rows faster
+    than they popcount masks) passes ``auto_bitset=False`` to skip the
+    bitset tier: ``"auto"`` then stays on the CSR kernel below
+    :data:`ARRAY_AUTO_N` and still takes the array kernel from it up,
+    where a graph built as CSR already owns the array view and the
+    list form would cost a conversion of its own.  Explicit kernel
+    names are always honored.
 
     Raises:
         ValueError: on an unknown kernel name.
@@ -144,9 +149,11 @@ def choose_kernel(n: int, kernel: str = "auto", auto_bitset: bool = True) -> str
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     if kernel != "auto":
         return kernel
+    if n >= ARRAY_AUTO_N:
+        return "array"
     if not auto_bitset or n < BITSET_AUTO_N:
         return "indexed"
-    return "array" if n >= ARRAY_AUTO_N else "bitset"
+    return "bitset"
 
 
 def build_kernel(

@@ -27,7 +27,9 @@ names the offending point in the message.
 When :data:`repro.obs.OBS` is enabled, the exact builders report
 ``udg.<builder>.pairs_tested`` vs ``udg.<builder>.edges_emitted`` — the
 quantities that make the naive-vs-grid trade-off measurable instead of
-folklore.
+folklore — and the bucket builders add
+``udg.<builder>.boundary_pairs_tested`` on inputs whose boundary pass
+tests anything.
 """
 
 from __future__ import annotations
@@ -94,6 +96,83 @@ def _all_pairs_scan(pts: list[Point], graph: Graph[Point], r_sq: float) -> None:
                 add_edge(pi, pj)
 
 
+def _boundary_pairs(
+    xs: np.ndarray, ys: np.ndarray, radius: float, tol: float, r_sq: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The edges whose endpoints sit two buckets apart along one axis.
+
+    The edge test accepts distances up to ``radius + tol``, but the
+    bucket scan only tests a bucket against itself and its eight
+    neighbors, so a pair at a distance in ``(radius, radius + tol]``
+    whose endpoints straddle a whole bucket — ``(1 − ulp, 0.5)`` and
+    ``(2.0, 0.5)`` — is never tested.  Such a pair has one endpoint
+    within ``tol`` (plus rounding slack) below a bucket line and the
+    other within the same band above the line two buckets over, so only
+    points in those bands are paired up: along ``x`` first, then along
+    ``y``, with the other axis's buckets at most one apart, through the
+    exact edge predicate of the bucket scan.  On a bounded-density
+    input without such points this is a few vector passes that pair
+    nothing; the pairs it finds were never tested before, so every
+    input without them keeps its edges, their emission order and its
+    counters.  Assumes ``tol < (√2 − 1)·radius``: no edge then spans
+    three buckets, or two along both axes.
+
+    Returns ``(left, right, tested)``: the edges found as index pairs,
+    the lower-bucket endpoint on the left, sorted by ``(left, right)``
+    within each axis, and the number of pairs tested.  Both bucket
+    builders append these edges after their scan, so their outputs stay
+    bit-identical.
+    """
+    u = xs / radius
+    v = ys / radius
+    fu = np.floor(u)
+    fv = np.floor(v)
+    # The bucket division rounds; 64 ulps of the largest bucket
+    # coordinate bound how far that can move a point across a line.
+    scale = float(max(np.abs(fu).max(), np.abs(fv).max())) + 2.0
+    band = max(tol, 0.0) / radius + 64.0 * np.finfo(np.float64).eps * scale
+    lefts = []
+    rights = []
+    tested = 0
+    for frac, along, across in (
+        (u - fu, fu.astype(np.int64), fv.astype(np.int64)),
+        (v - fv, fv.astype(np.int64), fu.astype(np.int64)),
+    ):
+        upper = np.flatnonzero(frac >= 1.0 - band)
+        lower = np.flatnonzero(frac <= band)
+        if not (upper.size and lower.size):
+            continue
+        # Look the lower-band points up by (bucket along, bucket across).
+        low = int(across.min()) - 1
+        width = int(across.max()) - low + 2
+        keys = along[lower] * width + (across[lower] - low)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        lower = lower[order]
+        base = (along[upper] + 2) * width + (across[upper] - low)
+        targets = (base[:, None] + np.arange(-1, 2, dtype=np.int64)).ravel()
+        begin = np.searchsorted(keys, targets, side="left")
+        count = np.searchsorted(keys, targets, side="right") - begin
+        total = int(count.sum())
+        if not total:
+            continue
+        tested += total
+        left = np.repeat(np.repeat(upper, 3), count)
+        first = np.repeat(begin - (np.cumsum(count) - count), count)
+        right = lower[np.arange(total, dtype=np.int64) + first]
+        dx = xs[left] - xs[right]
+        dy = ys[left] - ys[right]
+        hit = dx * dx + dy * dy <= r_sq
+        left, right = left[hit], right[hit]
+        emit = np.lexsort((right, left))
+        lefts.append(left[emit])
+        rights.append(right[emit])
+    if not lefts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, tested
+    return np.concatenate(lefts), np.concatenate(rights), tested
+
+
 def unit_disk_graph_naive(
     points: Sequence[Point], radius: float = 1.0, tol: float = EPS
 ) -> Graph[Point]:
@@ -122,12 +201,11 @@ def unit_disk_graph(
     Buckets have side ``radius``, so any edge's endpoints lie in the
     same or neighboring buckets.  Produces a graph identical to
     :func:`unit_disk_graph_naive` (tests assert this); expected time is
-    linear in ``n`` for bounded density.  One known gap: the edge test
-    accepts distances up to ``radius + tol``, so a pair whose endpoints
-    sit two buckets apart at a distance in ``(radius, radius + tol]``
-    is an edge the naive builder finds and this one never tests
-    (``tests/graphs/test_udg_vectorized.py`` marks it as an expected
-    failure).  Below :data:`GRID_SMALL_N`
+    linear in ``n`` for bounded density.  The edge test accepts
+    distances up to ``radius + tol``, so a pair whose endpoints sit two
+    buckets apart can still be an edge; a boundary pass after the
+    bucket scan (:func:`_boundary_pairs`) tests exactly those pairs.
+    Below :data:`GRID_SMALL_N`
     nodes the builder dispatches to the all-pairs scan — same trace and
     counter names (with truthful all-pairs values), and output there is
     bit-identical to the naive builder's, adjacency order included.
@@ -195,8 +273,19 @@ def unit_disk_graph(
                         dx, dy = px - q.x, py - q.y
                         if dx * dx + dy * dy <= r_sq:
                             add_edge(p, q)
+        left, right, boundary_tested = _boundary_pairs(
+            np.fromiter((p.x for p in pts), dtype=np.float64, count=n),
+            np.fromiter((p.y for p in pts), dtype=np.float64, count=n),
+            radius,
+            tol,
+            r_sq,
+        )
+        for i, j in zip(left.tolist(), right.tolist()):
+            add_edge(pts[i], pts[j])
     if counting:
         OBS.incr("udg.grid.pairs_tested", pairs_tested)
+        if boundary_tested:
+            OBS.incr("udg.grid.boundary_pairs_tested", boundary_tested)
         OBS.incr("udg.grid.edges_emitted", graph.edge_count())
     return graph
 
@@ -275,8 +364,11 @@ def unit_disk_graph_vectorized(
     within-bucket pairs filtered to the strict upper triangle,
     everything by the grid's exact squared-distance predicate — and
     the surviving edges come out already in the grid's emission order.
-    They become CSR rows directly (:func:`csr_from_edges` keeps each
-    row in emission order, as ``add_edge`` would), and the result is a
+    The boundary pass both bucket builders share
+    (:func:`_boundary_pairs`) appends the edges between points two
+    buckets apart.  They become CSR rows directly
+    (:func:`csr_from_edges` keeps each row in emission order, as
+    ``add_edge`` would), and the result is a
     :class:`~repro.graphs.csr.CSRGraph` owning them as a ready kernel
     view; its dict adjacency is built only on first use.  Below
     :data:`GRID_SMALL_N` nodes, or for a non-positive radius, the
@@ -285,7 +377,9 @@ def unit_disk_graph_vectorized(
     ``tests/graphs/test_csr.py`` pin the equivalence.
 
     Counters: ``udg.vector.pairs_tested`` (the point pairs the grid
-    scan tests, from the bucket sizes) and ``udg.vector.edges_emitted``.
+    scan tests, from the bucket sizes), ``udg.vector.edges_emitted``,
+    and ``udg.vector.boundary_pairs_tested`` when the boundary pass
+    tests any pair.
 
     Raises:
         ValueError: on duplicate points or non-finite coordinates, with
@@ -374,6 +468,9 @@ def unit_disk_graph_vectorized(
             hit = dx * dx + dy * dy <= r_sq
             lefts.append(left[hit])
             rights.append(right[hit])
+        left, right, boundary_tested = _boundary_pairs(xs, ys, radius, tol, r_sq)
+        lefts.append(left)
+        rights.append(right)
         indptr, indices = csr_from_edges(
             n, np.concatenate(lefts), np.concatenate(rights)
         )
@@ -383,6 +480,8 @@ def unit_disk_graph_vectorized(
             counts[~within].sum()
         )
         OBS.incr("udg.vector.pairs_tested", pairs_tested)
+        if boundary_tested:
+            OBS.incr("udg.vector.boundary_pairs_tested", boundary_tested)
         OBS.incr("udg.vector.edges_emitted", graph.edge_count())
     return graph
 

@@ -6,18 +6,23 @@ same node sequences, same gains, same tie-break resolutions, on every
 instance.  These tests lock all three kernels together at the solver
 level across the shared 50-instance randomized UDG suite (all
 tie-break modes) and step-lock :class:`ArrayGainTracker` against
-:class:`LazyGainTracker`, plus counter-determinism and error-contract
-parity.
+:class:`LazyGainTracker` and, at the sizes where the two meet, against
+:class:`BitsetGainTracker`, plus value-ranking, counter-determinism and
+error-contract parity.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.cds import LazyGainTracker, greedy_connector_cds, waf_cds
-from repro.cds.array_gain import ArrayGainTracker
+from repro.cds.array_gain import ArrayGainTracker, value_order
+from repro.cds.bitset_gain import BitsetGainTracker
+from repro.geometry.point import Point
 from repro.graphs import Graph, IndexedGraph, random_connected_udg
 from repro.graphs.array import ArrayGraph
+from repro.graphs.bitset import BitsetGraph
 from repro.mis import first_fit_mis
 from repro.mis.first_fit import first_fit_mis_nodes
 from repro.obs import OBS
@@ -37,6 +42,27 @@ def equivalence_suite():
         random_connected_udg(n, side, seed=seed)[1]
         for n, side, seed in SUITE_PARAMS
     ]
+
+
+#: Connected UDGs where the bitset and array trackers meet (n = 1500-3000).
+MID_PARAMS = [(1500, 16.0, 1), (2200, 19.0, 2), (3000, 22.0, 3)]
+
+
+@pytest.fixture(scope="module")
+def mid_suite():
+    return [
+        random_connected_udg(n, side, seed=seed)[1] for n, side, seed in MID_PARAMS
+    ]
+
+
+def _bitset_pair(graph):
+    """(bitset, array) trackers seeded with the same phase-1 MIS."""
+    index = IndexedGraph.from_graph(graph)
+    mis = first_fit_mis_nodes(graph, index=index)
+    return (
+        BitsetGainTracker(BitsetGraph.from_indexed(index), mis),
+        ArrayGainTracker(ArrayGraph.from_indexed(index), mis),
+    )
 
 
 def _tracker_pair(graph):
@@ -138,6 +164,99 @@ class TestTrackerStepEquivalence:
             assert array.best_connector("min") == expected
             lazy.add(expected[0])
             array.add(expected[0])
+
+
+class TestBitsetLockstep:
+    """Step-locked against the bitset tracker at n = 1500-3000."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_lockstep_selection(self, tie_break, mid_suite):
+        for graph in mid_suite:
+            bitset, array = _bitset_pair(graph)
+            while bitset.component_count > 1:
+                expected = bitset.best_connector(tie_break)
+                assert array.best_connector(tie_break) == expected
+                assert array.add(expected[0]) == bitset.add(expected[0])
+                assert array.component_count == bitset.component_count
+            assert array.included == bitset.included
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_tie_breaks_and_off_policy_adds(self, seed, mid_suite):
+        # One tracker answers every tie-break in turn, so its heaps share
+        # one gain cache; off-policy adds move gains under all of them.
+        rng = random.Random(700 + seed)
+        graph = mid_suite[seed]
+        bitset, array = _bitset_pair(graph)
+        outside = [v for v in graph.nodes() if v not in bitset.included]
+        rng.shuffle(outside)
+        while bitset.component_count > 1:
+            tie_break = rng.choice(TIE_BREAKS)
+            expected = bitset.best_connector(tie_break)
+            assert array.best_connector(tie_break) == expected
+            w = expected[0]
+            if rng.random() < 0.25:
+                while outside and outside[-1] in bitset.included:
+                    outside.pop()
+                if outside:
+                    w = outside.pop()
+            assert array.add(w) == bitset.add(w)
+            assert array.component_count == bitset.component_count
+        assert array.included == bitset.included
+
+
+class TestValueOrder:
+    """The tie-break rank space is the ascending node-value order."""
+
+    @staticmethod
+    def expected(nodes):
+        return sorted(range(len(nodes)), key=nodes.__getitem__)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            pytest.param([5, 3, 9, 1, 7, -2, 0], id="ints"),
+            pytest.param([(1, 2), (0, 5), (1, -1), (0, 0), (-3, 9)], id="tuples"),
+            pytest.param(
+                # 2**60 and 2**60 + 1 are one float64: only an exact
+                # comparison orders them.
+                [Point(3, 1), Point(1, 2), Point(1, -4), Point(2**60 + 1, 0),
+                 Point(2**60, 1)],
+                id="int-coordinates",
+            ),
+            pytest.param(
+                [Point(math.nan, 0.0), Point(1.0, 2.0), Point(0.5, math.nan),
+                 Point(0.5, 1.0), Point(-1.0, 3.0), Point(math.nan, -1.0)],
+                id="nan",
+            ),
+            pytest.param(
+                [Point(math.inf, 0.0), Point(1.0, 2.0), Point(-math.inf, 5.0),
+                 Point(1.0, -math.inf), Point(0.0, math.inf)],
+                id="inf",
+            ),
+            pytest.param(
+                [Point(0.0, 1.0), Point(-0.0, 0.5), Point(2.5, -1.0),
+                 Point(-3.25, 7.0), Point(2.5, -2.0)],
+                id="float-points",
+            ),
+        ],
+    )
+    def test_matches_sorted(self, nodes):
+        assert value_order(nodes) == self.expected(nodes)
+
+    def test_random_float_points_with_tied_x(self):
+        rng = random.Random(11)
+        xs = [rng.uniform(-5.0, 5.0) for _ in range(40)]
+        nodes = list({Point(rng.choice(xs), rng.uniform(-5.0, 5.0))
+                      for _ in range(600)})
+        rng.shuffle(nodes)
+        assert value_order(nodes) == self.expected(nodes)
+
+    def test_unorderable_mix_is_none(self):
+        assert value_order([0, "a", 1]) is None
+        assert value_order([Point(0.0, 0.0), 1]) is None
+
+    def test_empty(self):
+        assert value_order([]) == []
 
 
 class TestDeterministicCounters:

@@ -74,8 +74,14 @@ class TestSelectionTable:
         assert choose_kernel(1, "array") == "array"
 
     def test_auto_bitset_false_pins_csr_at_every_size(self):
-        for n in (1, BITSET_AUTO_N, ARRAY_AUTO_N, 10**6):
+        # Skipping the bitset tier keeps the CSR kernel below
+        # ARRAY_AUTO_N and takes the array kernel from it up.
+        for n in (1, BITSET_AUTO_N, ARRAY_AUTO_N - 1):
             assert choose_kernel(n, "auto", auto_bitset=False) == "indexed"
+        for n in (ARRAY_AUTO_N, 10**6):
+            assert choose_kernel(n, "auto", auto_bitset=False) == "array"
+        for name in ("indexed", "bitset", "array"):
+            assert choose_kernel(10**6, name, auto_bitset=False) == name
 
     def test_unknown_kernel_lists_choices(self):
         with pytest.raises(ValueError, match="indexed.*bitset.*array"):

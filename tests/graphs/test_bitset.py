@@ -189,7 +189,9 @@ class TestKernelSelection:
 
     def test_auto_bitset_false_pins_csr(self):
         assert choose_kernel(BITSET_AUTO_N, "auto", auto_bitset=False) == "indexed"
-        assert choose_kernel(ARRAY_AUTO_N, "auto", auto_bitset=False) == "indexed"
+        assert choose_kernel(ARRAY_AUTO_N - 1, "auto", auto_bitset=False) == "indexed"
+        assert choose_kernel(ARRAY_AUTO_N, "auto", auto_bitset=False) == "array"
+        assert choose_kernel(10**6, "indexed", auto_bitset=False) == "indexed"
         # Explicit requests still win.
         assert choose_kernel(10, "bitset", auto_bitset=False) == "bitset"
         assert choose_kernel(10, "array", auto_bitset=False) == "array"

@@ -173,6 +173,7 @@ def build_counters(builder, pts, **kwargs):
     return graph, (
         counters[f"udg.{name}.pairs_tested"],
         counters[f"udg.{name}.edges_emitted"],
+        counters.get(f"udg.{name}.boundary_pairs_tested", 0),
     )
 
 
@@ -273,23 +274,42 @@ class TestDegenerateGeometry:
     def test_unit_pairs_across_bucket_edges(self, k):
         self.check(self.straddling_pairs(k))
 
-    @pytest.mark.parametrize(
-        "k",
-        [
-            -1,
-            pytest.param(0, marks=pytest.mark.xfail(strict=True, reason=(
-                "known grid-builder defect: endpoints two buckets apart at "
-                "distance in (radius, radius + tol] are never tested"
-            ))),
-            pytest.param(1, marks=pytest.mark.xfail(strict=True, reason=(
-                "known grid-builder defect: endpoints two buckets apart at "
-                "distance in (radius, radius + tol] are never tested"
-            ))),
-        ],
-    )
+    @pytest.mark.parametrize("k", [-1, 0, 1])
     def test_unit_pairs_across_bucket_edges_match_naive(self, k):
         pts = self.straddling_pairs(k)
         self.assert_matches_naive(unit_disk_graph_vectorized(pts), pts)
+
+    @pytest.mark.parametrize("radius", [1.0, 1.3, 0.7, 0.1])
+    def test_pairs_one_reach_below_a_bucket_line_match_naive(self, radius):
+        # The left end sits within ulps of the farthest accepted offset
+        # below a bucket line, so only the rounding slack of the
+        # boundary pass's band keeps it in.
+        reach = radius + EPS
+        pts = []
+        for i in range(40):
+            line = (3 * i + 2) * radius
+            for k in range(-3, 4):
+                y = 10.0 * (k + 4) + 100.0 * i
+                pts += [Point(ulps(line - reach, k), y), Point(line, y)]
+        self.assert_matches_naive(self.check(pts, radius=radius), pts, radius)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_points_near_bucket_lines_match_naive(self, seed):
+        # Coordinates a few ulps or a fraction of EPS off bucket lines,
+        # at unit and non-unit radii, so pairs about one radius apart
+        # straddle whole buckets: the boundary pass must find every such
+        # edge, identically in both builders.
+        rng = random.Random(900 + seed)
+        for radius in (1.0, 1.3, 0.7):
+            def coordinate():
+                if rng.random() < 0.5:
+                    return rng.uniform(-5.0, 5.0) * radius
+                line = ulps(rng.randint(-5, 5) * radius, rng.randint(-3, 3))
+                return line + rng.choice((0.0, 1e-10, -1e-10, 5e-10, -5e-10))
+
+            pts = list({Point(coordinate(), coordinate()) for _ in range(120)})
+            rng.shuffle(pts)
+            self.assert_matches_naive(self.check(pts, radius=radius), pts, radius)
 
     def test_points_on_bucket_lines(self):
         pts = [Point(float(x), float(y)) for x in range(-4, 5) for y in range(-3, 4)]
